@@ -64,6 +64,7 @@ fuzz:
 	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzMachineEquivalence -fuzztime 60s
 	$(GO) test ./internal/wse -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime 30s
 	$(GO) test ./internal/kernels -run '^$$' -fuzz FuzzSpMV2DEquivalence -fuzztime 60s
+	$(GO) test ./internal/kernels -run '^$$' -fuzz FuzzAllReduceReplay -fuzztime 60s
 	$(GO) test ./internal/stencilc -run '^$$' -fuzz FuzzStencilcEquivalence -fuzztime 60s
 
 # CPU + heap profile of the machine-step hot path (saturated 128×128,

@@ -198,3 +198,82 @@ func TestStepperNames(t *testing.T) {
 		t.Errorf("default shard count = %d, want 1", n)
 	}
 }
+
+// scanQuiescent is the reference definition of Quiescent: no word in
+// any router input queue, by a scan of every queue.
+func scanQuiescent(f *Fabric) bool {
+	for i := range f.tables {
+		for in := Port(0); in < NumPorts; in++ {
+			for c := 0; c < MaxColors; c++ {
+				if q := f.tables[i].queues[in][c]; q != nil && !q.empty() {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestQuiescentCounter pins the in-flight word counters behind the
+// O(shards) Quiescent against the full queue scan every cycle: through
+// saturated traffic, the drain back to idle, on the sequential and the
+// (forced-concurrent) sharded engine, and across a snapshot restore
+// taken mid-flight into a fabric with different in-flight state.
+func TestQuiescentCounter(t *testing.T) {
+	const w, h = 9, 7
+	for _, name := range []string{"seq", "sharded"} {
+		st := Sequential()
+		if name == "sharded" {
+			st = Sharded(3)
+			st.(*engine).forceParallel = true
+		}
+		f := trafficFabric(w, h, st)
+		defer f.Close()
+		check := func(when string) {
+			t.Helper()
+			if got, want := f.Quiescent(), scanQuiescent(f); got != want {
+				t.Fatalf("%s %s (cycle %d): Quiescent %v, queue scan %v", name, when, f.Cycle(), got, want)
+			}
+		}
+		check("fresh")
+		rng := rand.New(rand.NewSource(5))
+		var mid *State
+		for cyc := 0; cyc < 60; cyc++ {
+			driveCycle(f, rng)
+			check("loaded")
+			if cyc == 30 {
+				mid = f.CaptureState()
+			}
+		}
+		if f.Quiescent() {
+			t.Fatalf("%s: saturated fabric reports quiescent", name)
+		}
+		drained := false
+		for cyc := 0; cyc < 4*(w+h) && !drained; cyc++ {
+			for y := 0; y < h; y++ {
+				f.Recv(Coord{w - 1, y}, 0)
+				f.Recv(Coord{0, y}, 1)
+			}
+			for x := 0; x < w; x++ {
+				f.Recv(Coord{x, h - 1}, 2)
+				f.Recv(Coord{x, 0}, 3)
+				f.Recv(Coord{x, 0}, 4)
+			}
+			f.Step()
+			check("draining")
+			drained = f.Quiescent()
+		}
+		if !drained {
+			t.Fatalf("%s: fabric did not drain", name)
+		}
+		if err := f.RestoreState(mid); err != nil {
+			t.Fatal(err)
+		}
+		check("restored mid-flight")
+		if f.Quiescent() {
+			t.Fatalf("%s: mid-flight restore reports quiescent", name)
+		}
+		driveCycle(f, rng)
+		check("stepped after restore")
+	}
+}

@@ -311,8 +311,21 @@ type Fabric struct {
 	// arenas[s] backs the queue storage of every tile in shard s; only
 	// shard s allocates from it during stepping.
 	arenas []shardArena
+	// inflight[s] counts the words queued in the router input queues of
+	// shard s's tiles. It is derived state — maintained by Send, by the
+	// commit phase (pops and router pushes, on the owning shard) and
+	// recomputed by RestoreState — so Quiescent is a sum over shards
+	// instead of a scan of every queue.
+	inflight []shardCount
 
 	stepper Stepper
+}
+
+// shardCount is one shard's in-flight word count, padded to its own
+// cache line: Send increments it from the shard's worker goroutine.
+type shardCount struct {
+	n int64
+	_ [56]byte
 }
 
 // stagedPush is one claimed transfer awaiting commit. The destination
@@ -509,6 +522,7 @@ func (f *Fabric) Send(at Coord, w Word) bool {
 	if q == nil || !q.push(w.Bits) {
 		return false
 	}
+	f.inflight[f.shardOf[i]].n++
 	f.markHot(i)
 	return true
 }
@@ -617,12 +631,40 @@ func (f *Fabric) Fingerprint() uint64 {
 }
 
 // Quiescent reports whether no words remain anywhere in the fabric
-// (router queues only; core receive buffers may still hold words).
+// (router queues only; core receive buffers may still hold words). It
+// reads the per-shard in-flight counters: O(shards), not O(queues).
 func (f *Fabric) Quiescent() bool {
-	for i := range f.routers {
-		r := &f.routers[i]
-		for j := range r.active {
-			if !r.active[j].q.empty() {
+	var n int64
+	for s := range f.inflight {
+		n += f.inflight[s].n
+	}
+	return n == 0
+}
+
+// recountInflight recomputes the in-flight counters from the router
+// queues themselves (after a wholesale state restore).
+func (f *Fabric) recountInflight() {
+	for s := range f.inflight {
+		f.inflight[s].n = 0
+	}
+	for i := range f.tables {
+		tb := &f.tables[i]
+		for in := Port(0); in < NumPorts; in++ {
+			for c := 0; c < MaxColors; c++ {
+				if q := tb.queues[in][c]; q != nil {
+					f.inflight[f.shardOf[i]].n += int64(q.len())
+				}
+			}
+		}
+	}
+}
+
+// RxEmpty reports whether every core receive buffer of the colors
+// lo..hi (inclusive) is empty, fabric-wide.
+func (f *Fabric) RxEmpty(lo, hi Color) bool {
+	for i := range f.rx {
+		for c := lo; c <= hi; c++ {
+			if q := f.rx[i][c]; q != nil && q.size > 0 {
 				return false
 			}
 		}

@@ -84,6 +84,9 @@ func (f *Fabric) RestoreState(s *State) error {
 	if len(s.RR) != len(f.routers) {
 		return fmt.Errorf("fabric: snapshot has %d routers, fabric has %d", len(s.RR), len(f.routers))
 	}
+	// The in-flight counters follow the queues, also on a failed
+	// (partial) restore.
+	defer f.recountInflight()
 	// Reset live state.
 	for i := range f.routers {
 		r := &f.routers[i]

@@ -149,6 +149,7 @@ func (e *engine) bind(f *Fabric) {
 		}
 	}
 	f.hotLists = make([][]int, n)
+	f.inflight = make([]shardCount, n)
 }
 
 // Close stops the persistent worker pool. Idempotent; the engine keeps
@@ -410,6 +411,7 @@ func (e *engine) commit(s int) {
 		q.pop()
 	}
 	st.moves += int64(len(st.pops))
+	inflight := -int64(len(st.pops))
 	for src := 0; src < e.n; src++ {
 		for _, ps := range e.sh[src].pushes[s] {
 			if ps.tile < 0 {
@@ -422,9 +424,11 @@ func (e *engine) commit(s int) {
 			if !ps.q.push(ps.bits) {
 				panic("fabric: committed push overflowed (claim phase bug)")
 			}
+			inflight++
 			f.markHot(int(ps.tile))
 		}
 	}
+	f.inflight[s].n += inflight
 	for _, ti := range st.stillHot {
 		f.markHot(ti)
 	}

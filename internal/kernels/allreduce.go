@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/fabric"
+	"repro/internal/perfmodel"
 	"repro/internal/wse"
 )
 
@@ -40,6 +41,12 @@ type AllReduce struct {
 	queued    []bool
 	remaining int
 	start     int64 // fabric cycle at Begin, for Result's latency
+
+	// replay is the exact word-granular model Run jumps through under
+	// EngineFastForward (built on first use); replayed and simulated
+	// count the Runs that took the jump and the ones that stepped.
+	replay              *perfmodel.AllReduceReplay
+	replayed, simulated int
 }
 
 type arTile struct {
@@ -310,7 +317,13 @@ type AllReduceResult struct {
 // row-major). It returns the broadcast sum and the cycle count from start
 // to the last delivery.
 //
-// Each cycle only pending tiles step; a tile parks when its next move
+// Under EngineFastForward, a reduction that starts from a quiescent
+// fabric with empty AllReduce receive buffers is replayed by
+// perfmodel.AllReduceReplay instead of stepped: the same cycles, word
+// moves, router rotations, hot set and tree-order sum, applied to the
+// fabric in one jump (see replayRun). Every other case cycle-simulates.
+//
+// When simulating, each cycle only pending tiles step; a tile parks when its next move
 // waits on a word that has not arrived and is re-listed by the fabric's
 // rx-delivery wake. Tile state is tile-local and each tile touches only
 // its own ramp, so the stepping order — and therefore the engine choice
@@ -319,6 +332,11 @@ func (ar *AllReduce) Run(values []float32, maxCycles int64) (AllReduceResult, er
 	if err := ar.Begin(values); err != nil {
 		return AllReduceResult{}, err
 	}
+	if ar.replayRun(values, maxCycles) {
+		ar.replayed++
+		return ar.Result(), nil
+	}
+	ar.simulated++
 	for cyc := int64(0); cyc < maxCycles; cyc++ {
 		if ar.Tick() {
 			return ar.Result(), nil
@@ -326,6 +344,111 @@ func (ar *AllReduce) Run(values []float32, maxCycles int64) (AllReduceResult, er
 		ar.F.Step()
 	}
 	return AllReduceResult{}, fmt.Errorf("kernels: allreduce did not finish in %d cycles", maxCycles)
+}
+
+// Runs reports how many Runs were replayed analytically and how many
+// were cycle-simulated since the AllReduce was built.
+func (ar *AllReduce) Runs() (replayed, simulated int) { return ar.replayed, ar.simulated }
+
+// replayEligible reports whether a reduction starting now is exactly the
+// phase perfmodel.AllReduceReplay models: the fast-forward engine, the
+// default router queue depth, no words in flight, nothing waiting in any
+// AllReduce receive buffer, and no core listening on the AllReduce
+// colors (the replay fires no rx-delivery wakes).
+func (ar *AllReduce) replayEligible() bool {
+	m := ar.M
+	if !m.FastForwardEnabled() || (m.Cfg.QueueDepth > 0 && m.Cfg.QueueDepth != 4) {
+		return false
+	}
+	return ar.F.Quiescent() && ar.F.RxEmpty(ar.blue, ar.red) && !m.SubscribesAny(ar.blue, ar.red)
+}
+
+// replayRun tries to complete the reduction Begin just armed without
+// cycle simulation. On success the fabric holds exactly the state a
+// stepped Run ends in (fabric.ApplyReplay: cycles, moves, rotations,
+// hot set; every queue drained) and the host actors are left as a
+// finished Run leaves them, so Result, a later Begin and snapshots see
+// no difference. It returns false, having changed nothing, when the
+// reduction is ineligible or would exceed maxCycles.
+func (ar *AllReduce) replayRun(values []float32, maxCycles int64) bool {
+	if !ar.replayEligible() {
+		return false
+	}
+	f := ar.F
+	if ar.replay == nil {
+		ar.replay = perfmodel.NewAllReduceReplay(f.W, f.H)
+	}
+	// Run's loop ticks on cycles 0..maxCycles-1 and finishes on the tick
+	// after the last delivery.
+	if ar.replay.Cycles() >= maxCycles {
+		return false
+	}
+	res := ar.replay.Run(perfmodel.AllReduceSeed{
+		Values: values,
+		RR:     f.RR,
+		Hot:    f.HotTiles(),
+		Slots:  ar.slots,
+	})
+	f.ApplyReplay(res.Cycles, res.Moves, res.RR, res.Hot)
+
+	for i, t := range ar.tiles {
+		t.acc = res.Acc[i]
+		t.rowGot, t.colGot, t.quadGot = t.rowExpect, t.colExpect, t.quadExpect
+		t.sentRow = !t.isRowCtr
+		t.sentCol = t.isRowCtr && !t.isColCtr
+		t.sentQuad = t.isColCtr && !t.isRoot
+		t.sentRed = t.isRoot
+		t.rowDone = true
+		t.colDone = t.isColCtr
+		t.haveResult = true
+		t.result = res.Sum
+		t.resultCycle = ar.start + res.Broadcast + 1 + int64(iabs(t.x-ar.cx0)+iabs(t.y-ar.cy0))
+	}
+	for s := range ar.pending {
+		ar.pending[s] = ar.pending[s][:0]
+	}
+	for i := range ar.queued {
+		ar.queued[i] = false
+	}
+	ar.remaining = 0
+	return true
+}
+
+// slots maps router ti's live entry layout onto the replay's contended
+// AllReduce legs.
+func (ar *AllReduce) slots(ti int) perfmodel.ARSlots {
+	layout := ar.F.EntryLayout(ti)
+	sl := perfmodel.ARSlots{N: len(layout)}
+	for g := range sl.Slot {
+		sl.Slot[g] = -1
+	}
+	legs := []struct {
+		key fabric.RouteKey
+		leg perfmodel.ARLeg
+	}{
+		{fabric.RouteKey{In: fabric.West, C: ar.blue}, perfmodel.ARRowWest},
+		{fabric.RouteKey{In: fabric.East, C: ar.blue}, perfmodel.ARRowEast},
+		{fabric.RouteKey{In: fabric.North, C: ar.green}, perfmodel.ARColNorth},
+		{fabric.RouteKey{In: fabric.South, C: ar.green}, perfmodel.ARColSouth},
+		{fabric.RouteKey{In: fabric.East, C: ar.c4a}, perfmodel.ARQuadA},
+		{fabric.RouteKey{In: fabric.South, C: ar.c4b}, perfmodel.ARQuadB},
+		{fabric.RouteKey{In: fabric.South, C: ar.c4c}, perfmodel.ARQuadC},
+	}
+	for j, k := range layout {
+		for _, l := range legs {
+			if k == l.key {
+				sl.Slot[l.leg] = j
+			}
+		}
+	}
+	return sl
+}
+
+func iabs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
 // Begin resets the host actors for a new reduction of values, without
@@ -466,7 +589,7 @@ func (ar *AllReduce) stepTile(t *arTile) {
 			if !ok {
 				break
 			}
-			t.acc += w.F32()
+			t.acc = perfmodel.ARAccumulate(t.acc, w.F32())
 			t.rowGot++
 			pops++
 		}
@@ -485,7 +608,7 @@ func (ar *AllReduce) stepTile(t *arTile) {
 				if !ok {
 					break
 				}
-				t.acc += w.F32()
+				t.acc = perfmodel.ARAccumulate(t.acc, w.F32())
 				t.colGot++
 				pops++
 			}
@@ -511,7 +634,7 @@ func (ar *AllReduce) stepTile(t *arTile) {
 					if !ok {
 						break
 					}
-					t.acc += w.F32()
+					t.acc = perfmodel.ARAccumulate(t.acc, w.F32())
 					t.quadGot++
 					pops++
 				}

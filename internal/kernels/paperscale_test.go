@@ -10,12 +10,21 @@ import (
 	"repro/internal/wse"
 )
 
-// paperScaleSolve builds the 3-D heat operator on an nx×ny×nz mesh,
+// paperScaleRun is everything the paper-scale test pins about one
+// solve: the solution bits, the solver stats, the machine's final
+// architectural fingerprint, and how many of the solve's AllReduces
+// were replayed analytically versus cycle-simulated.
+type paperScaleRun struct {
+	x                   []fp16.Float16
+	st                  WSEStats
+	fp                  uint64
+	replayed, simulated int
+}
+
+// paperScaleSolve builds the 3-D heat operator on an nx×ny×nz mesh and
 // runs a two-iteration BiCGStab solve on a wafer of the matching fabric
-// extent under the given engine, and returns everything the
-// paper-scale test pins: the solution bits, the solver stats, and the
-// machine's final architectural fingerprint.
-func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) ([]fp16.Float16, WSEStats, uint64) {
+// extent under the given engine.
+func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) paperScaleRun {
 	t.Helper()
 	m := wse.New(wse.Config{FabricW: nx, FabricH: ny, Engine: eng})
 	defer m.Close()
@@ -34,18 +43,35 @@ func paperScaleSolve(t testing.TB, nx, ny, nz int, eng wse.Engine) ([]fp16.Float
 	if err != nil {
 		t.Fatal(err)
 	}
-	return x, st, m.Fingerprint()
+	r := paperScaleRun{x: x, st: st, fp: m.Fingerprint()}
+	r.replayed, r.simulated = s.eng.ar.Runs()
+	return r
+}
+
+// paperScaleAllReduces is the number of AllReduces a two-iteration
+// solve runs: the setup ‖b‖² plus four per iteration.
+const paperScaleAllReduces = 1 + 4*2
+
+// checkReplayed requires every AllReduce of a fast-forward solve to
+// have taken the analytic replay.
+func checkReplayed(t *testing.T, leg string, r paperScaleRun) {
+	t.Helper()
+	if r.replayed != paperScaleAllReduces || r.simulated != 0 {
+		t.Errorf("%s: %d AllReduces replayed and %d cycle-simulated, want all %d replayed",
+			leg, r.replayed, r.simulated, paperScaleAllReduces)
+	}
 }
 
 // TestPaperScaleBiCGStab runs the paper's headline configuration — a
 // full BiCGStab solve of the 3-D heat operator mapped one mesh column
 // per PE across the complete 602×595 wafer — inside the ordinary test
 // suite, under the hybrid fast-forward engine (wse.EngineFastForward:
-// statically-timed compute phases replayed by the perfmodel, memory
-// advanced bit-exactly on the host, dots and AllReduces cycle-
-// simulated). The wall-time bound is the point: the same solve under
-// pure cycle simulation takes tens of minutes, which is why paper-scale
-// runs used to live only in perfmodel extrapolations.
+// stencil exchanges and AllReduces replayed by the perfmodel's exact
+// word-level models, dot and AXPY phases jumped analytically, memory
+// advanced bit-exactly on the host, only phase boundaries
+// cycle-simulated). The wall-time bound is the point: the same solve
+// under pure cycle simulation takes tens of minutes, which is why
+// paper-scale runs used to live only in perfmodel extrapolations.
 //
 // The fast-forward engine's contract is bit- and cycle-identity with
 // sequential stepping. That is pinned here on a smaller wafer where the
@@ -66,8 +92,15 @@ func TestPaperScaleBiCGStab(t *testing.T) {
 	}
 
 	// Equivalence leg: fast-forward vs sequential on a 60×50 wafer.
-	xSeq, stSeq, fpSeq := paperScaleSolve(t, 60, 50, 4, wse.EngineSequential)
-	xFF, stFF, fpFF := paperScaleSolve(t, 60, 50, 4, wse.EngineFastForward)
+	seq := paperScaleSolve(t, 60, 50, 4, wse.EngineSequential)
+	ff := paperScaleSolve(t, 60, 50, 4, wse.EngineFastForward)
+	xSeq, stSeq, fpSeq := seq.x, seq.st, seq.fp
+	xFF, stFF, fpFF := ff.x, ff.st, ff.fp
+	checkReplayed(t, "60×50 fast-forward", ff)
+	if seq.replayed != 0 || seq.simulated != paperScaleAllReduces {
+		t.Errorf("60×50 sequential: %d AllReduces replayed and %d cycle-simulated, want all %d simulated",
+			seq.replayed, seq.simulated, paperScaleAllReduces)
+	}
 	if len(xSeq) != len(xFF) {
 		t.Fatalf("solution lengths differ: seq %d, ff %d", len(xSeq), len(xFF))
 	}
@@ -92,6 +125,9 @@ func TestPaperScaleBiCGStab(t *testing.T) {
 		t.Errorf("iteration outcomes diverge: seq %d/%v, ff %d/%v",
 			stSeq.Iterations, stSeq.Converged, stFF.Iterations, stFF.Converged)
 	}
+	if stSeq.MaxARDrift != stFF.MaxARDrift {
+		t.Errorf("AllReduce drift diverges: seq %v, ff %v", stSeq.MaxARDrift, stFF.MaxARDrift)
+	}
 	if fpSeq != fpFF {
 		t.Errorf("machine fingerprints diverge: seq %#x, ff %#x", fpSeq, fpFF)
 	}
@@ -99,14 +135,29 @@ func TestPaperScaleBiCGStab(t *testing.T) {
 
 	// Paper-scale leg: the full wafer, fast-forward engine, with the
 	// wall-time budget that makes it a CI test rather than an overnight
-	// job. The bound is ~25%% above the measured single-core time; a
-	// trip here is a performance regression in the fast-forward path or
-	// the AllReduce fabric simulation, not noise.
+	// job. A trip here is a performance regression in the fast-forward
+	// path, not noise: the solve takes a fraction of the budget.
 	start := time.Now()
-	x, st, fp := paperScaleSolve(t, 602, 595, 4, wse.EngineFastForward)
+	ps := paperScaleSolve(t, 602, 595, 4, wse.EngineFastForward)
 	elapsed := time.Since(start)
+	x, st, fp := ps.x, ps.st, ps.fp
 	t.Logf("602×595 solve: %v  iters=%d cycles=%+v setup=%d hist=%v x0=%#04x fp=%#x",
 		elapsed, st.Iterations, st.Cycles, st.SetupCycles, st.History, uint16(x[0]), fp)
+	checkReplayed(t, "602×595", ps)
+
+	// The paper-scale cycle account, per iteration: two 7-point
+	// applications (17 cycles each), four dots (2 each), four Figure-6
+	// AllReduces at 1497 cycles (perfmodel.AllReduceCycles for 602×595)
+	// and six AXPYs — 6036 cycles; the setup is one dot plus one
+	// AllReduce.
+	wantIter := PhaseCycles{SpMV: 34, Dot: 8, AllReduce: 5988, Axpy: 6}
+	if st.PerIteration != wantIter || st.PerIteration.Total() != 6036 {
+		t.Errorf("602×595 cycles per iteration %+v (total %d), want %+v (6036)",
+			st.PerIteration, st.PerIteration.Total(), wantIter)
+	}
+	if st.SetupCycles != 1499 {
+		t.Errorf("602×595 setup cycles %d, want 1499", st.SetupCycles)
+	}
 
 	if st.Iterations != 2 || len(st.History) != 2 {
 		t.Errorf("expected 2 full iterations with residual history, got %d (%v)", st.Iterations, st.History)

@@ -105,6 +105,26 @@ func TestAllReduceModelMatchesSimulator(t *testing.T) {
 	}
 }
 
+// TestAllReduceReplayCycles pins the AllReduce replay's phase
+// timeline to the parity-aware closed form on every shape up to 64×64
+// and on the paper wafer, so the two exact models of the Figure-6
+// reduction cannot drift apart.
+func TestAllReduceReplayCycles(t *testing.T) {
+	shapes := [][2]int{{602, 595}}
+	for w := 1; w <= 64; w++ {
+		for h := 1; h <= 64; h++ {
+			shapes = append(shapes, [2]int{w, h})
+		}
+	}
+	for _, d := range shapes {
+		got := perfmodel.NewAllReduceReplay(d[0], d[1]).Cycles()
+		want := perfmodel.WSE{W: d[0], H: d[1], ClockHz: 1.1e9, SIMD: 4}.AllReduceCycles()
+		if float64(got) != want {
+			t.Errorf("%dx%d: replay %d cycles, AllReduceCycles %g", d[0], d[1], got, want)
+		}
+	}
+}
+
 func TestAllReduceWaferLatency(t *testing.T) {
 	// The full-wafer AllReduce must come in under the paper's 1.5 µs. The
 	// measured shape is ~1.25× the diameter — above the paper's ~1.1×

@@ -134,6 +134,46 @@ func TestJobSpecValidate(t *testing.T) {
 	}
 }
 
+// TestJobSpecMeshBounds pins the overflow-safe mesh-size check: a spec
+// whose cell count wraps around int (4294967296² · 2 ≡ 0 mod 2⁶⁴) must
+// be rejected like any other oversized mesh, and the bound itself must
+// be exact on every axis.
+func TestJobSpecMeshBounds(t *testing.T) {
+	const big = 4294967296 // 2³²
+	cases := []struct {
+		nx, ny, nz int
+		ok         bool
+	}{
+		{big, big, 2, false}, // NX·NY·NZ wraps to 0
+		{big, big, 1, false}, // NX·NY wraps to 0
+		{big, 1, 2, false},   // one axis alone over the cap
+		{1, big, 2, false},
+		{1, 1, big, false},
+		{1 << 62, 4, 2, false}, // product wraps negative
+		{math.MaxInt, math.MaxInt, 2, false},
+		{maxMeshCells, 1, 1, true}, // exactly at the cap, on each axis
+		{1, maxMeshCells, 1, true},
+		{1, 1, maxMeshCells, true},
+		{maxMeshCells + 1, 1, 1, false},
+		{602, 595, 128, true},
+		{602, 595, 129, false},
+		{602 * 595, 1, 128, true},
+	}
+	for _, tc := range cases {
+		err := JobSpec{NX: tc.nx, NY: tc.ny, NZ: tc.nz, Backend: "local"}.Validate()
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%dx%dx%d rejected: %v", tc.nx, tc.ny, tc.nz, err)
+			}
+			continue
+		}
+		var se *SpecError
+		if !errors.As(err, &se) || se.Field != "nx" {
+			t.Errorf("%dx%dx%d: got %v, want a *SpecError on \"nx\"", tc.nx, tc.ny, tc.nz, err)
+		}
+	}
+}
+
 // TestServiceParallelMixedBackends is the tentpole acceptance test: a
 // dozen jobs across all four backends run concurrently (under -race in
 // CI), every result is bit-identical to a direct core.Solve of the same

@@ -108,8 +108,10 @@ func (s JobSpec) Options() (core.Options, error) {
 	if s.NX <= 0 || s.NY <= 0 || s.NZ <= 0 {
 		return core.Options{}, &SpecError{"nx", fmt.Sprintf("mesh dimensions must be positive, got %dx%dx%d", s.NX, s.NY, s.NZ)}
 	}
-	if n := s.NX * s.NY * s.NZ; n > maxMeshCells {
-		return core.Options{}, &SpecError{"nx", fmt.Sprintf("mesh has %d cells; the service caps jobs at %d (one full wafer at depth 128)", n, maxMeshCells)}
+	// Bound the cell count by division, so no product can overflow int.
+	if s.NX > maxMeshCells || s.NY > maxMeshCells/s.NX || s.NZ > maxMeshCells/(s.NX*s.NY) {
+		return core.Options{}, &SpecError{"nx", fmt.Sprintf("mesh %dx%dx%d exceeds the service cap of %d cells (one full wafer at depth 128)",
+			s.NX, s.NY, s.NZ, maxMeshCells)}
 	}
 	switch s.Problem {
 	case "poisson", "momentum", "random":

@@ -192,6 +192,7 @@ func (c *Core) Subscribe(col fabric.Color, b *StreamBuf) {
 	if len(c.subs[col]) == 0 {
 		c.subColors = append(c.subColors, col)
 		c.subMask |= 1 << col
+		c.m.subscribed |= 1 << col
 	}
 	c.subs[col] = append(c.subs[col], b)
 	// Words may already be waiting at the ramp for this color.

@@ -1,11 +1,14 @@
 package difftest
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/fp16"
 	"repro/internal/kernels"
+	"repro/internal/perfmodel"
 	"repro/internal/stencil"
 	"repro/internal/stencilc"
 	"repro/internal/wse"
@@ -96,6 +99,92 @@ func TestLockstepAllReduce(t *testing.T) {
 	}
 }
 
+// TestAllReduceReplayEndState pins the AllReduce replay — the
+// fast-forward engine's jump over the Figure-6 reduction — at its only
+// observable boundary, a finished AllReduce.Run, across the full shape
+// sweep of perfmodel's TestAllReduceModelMatchesSimulator: even, odd
+// and narrow (≤ 2) extents. Every shape runs on a fresh fabric and
+// again after a compiled 7-point application has left rotations and a
+// hot set behind (the reduction then shares its routers with the
+// exchange colors, as in the star solver). The replay must land on the
+// sequential engine's state exactly — fingerprint, cycles, sum and
+// broadcast bits — in perfmodel.AllReduceCycles cycles, and must
+// actually have replayed.
+func TestAllReduceReplayEndState(t *testing.T) {
+	shapes := [][2]int{
+		{8, 8}, {16, 16}, {32, 24}, {48, 48}, {10, 30},
+		{17, 16}, {33, 24}, {9, 9}, {32, 25}, {47, 48}, {49, 49},
+		{1, 1}, {2, 2}, {1, 2}, {2, 6}, {6, 2}, {2, 5}, {1, 9}, {8, 1}, {4, 2},
+	}
+	for _, d := range shapes {
+		for _, applied := range []bool{false, true} {
+			w, h := d[0], d[1]
+			mesh := stencil.Mesh{NX: w, NY: h, NZ: 4}
+			norm, _ := stencil.Heat3D(mesh, 0.1, stencil.Dirichlet).Normalize()
+			op := stencil.NewOpStarHalf(norm)
+			src := halfVec(mesh.N(), int64(w*100+h))
+			values := make([]float32, w*h)
+			for i := range values {
+				values[i] = float32(i%29)*0.375 - 5 + float32(i%3)*1e-3
+			}
+			run := func(e wse.Engine) (kernels.AllReduceResult, uint64, string, int) {
+				m := wse.New(config(w, h, e))
+				defer m.Close()
+				p, err := stencilc.Compile3D(m, stencilc.Spec7Point(), op, 0, 0, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ar, err := kernels.NewAllReduce(m, kernels.NumStencil2DColors)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if applied {
+					loadIterate(p, src)
+					if _, err := p.Run(1 << 20); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := ar.Run(values, 1<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				replayed, _ := ar.Runs()
+				// Hot marks sit outside the fingerprint but charge the
+				// next cycle's rotations, so they are compared too.
+				return res, m.Fingerprint(), fmt.Sprint(m.Fab.CaptureState().Hot), replayed
+			}
+			seq, seqFP, seqHot, _ := run(wse.EngineSequential)
+			ff, ffFP, ffHot, replayed := run(wse.EngineFastForward)
+			name := fmt.Sprintf("%dx%d applied=%v", w, h, applied)
+			if replayed != 1 {
+				t.Errorf("%s: the fast-forward AllReduce did not replay", name)
+			}
+			if ff.Cycles != seq.Cycles {
+				t.Errorf("%s: cycles diverge: seq %d, replay %d", name, seq.Cycles, ff.Cycles)
+			}
+			model := perfmodel.WSE{W: w, H: h, ClockHz: 1.1e9, SIMD: 4}.AllReduceCycles()
+			if float64(ff.Cycles) != model {
+				t.Errorf("%s: replay %d cycles, perfmodel.AllReduceCycles %g", name, ff.Cycles, model)
+			}
+			if math.Float32bits(ff.Sum) != math.Float32bits(seq.Sum) {
+				t.Errorf("%s: sum bits diverge: seq %#08x, replay %#08x", name, math.Float32bits(seq.Sum), math.Float32bits(ff.Sum))
+			}
+			for i := range seq.PerTile {
+				if math.Float32bits(ff.PerTile[i]) != math.Float32bits(seq.PerTile[i]) {
+					t.Errorf("%s: tile %d broadcast diverges: seq %v, replay %v", name, i, seq.PerTile[i], ff.PerTile[i])
+					break
+				}
+			}
+			if ffFP != seqFP {
+				t.Errorf("%s: fingerprints diverge: seq %#x, replay %#x", name, seqFP, ffFP)
+			}
+			if ffHot != seqHot {
+				t.Errorf("%s: hot sets diverge: seq %s, replay %s", name, seqHot, ffHot)
+			}
+		}
+	}
+}
+
 // TestLockstepSpec9Point locksteps the 2-D 9-point box program — the
 // block-interior MemOp streams are exactly the shape the batched
 // engine's equivalence classes target, and the column/row exchanges
@@ -146,7 +235,9 @@ func TestLockstepHeat(t *testing.T) {
 // where it is observable: a Program3D.Run that takes the analytic jump
 // must land on exactly the state the sequential engine reaches by
 // cycle simulation — same cycle count, same result bits, same
-// partials, same machine fingerprint.
+// partials, same machine fingerprint, and the same fabric hot set
+// (outside the fingerprint, but it charges the next phase's
+// rotations).
 func TestRunEndState(t *testing.T) {
 	cases := []struct {
 		name string
@@ -165,7 +256,7 @@ func TestRunEndState(t *testing.T) {
 			}
 			op := stencil.NewOpStarHalf(norm)
 			src := halfVec(tc.mesh.N(), 47)
-			run := func(e wse.Engine) (int64, []fp16.Float16, []float32, uint64) {
+			run := func(e wse.Engine) (int64, []fp16.Float16, []float32, uint64, string) {
 				m := wse.New(config(tc.mesh.NX, tc.mesh.NY, e))
 				defer m.Close()
 				p, err := stencilc.Compile3D(m, tc.spec, op, 0, 0, 0)
@@ -181,10 +272,13 @@ func TestRunEndState(t *testing.T) {
 				for i := 0; i < p.Tiles(); i++ {
 					res = append(res, p.Result(i)...)
 				}
-				return cycles, res, append([]float32(nil), p.Partials()...), m.Fingerprint()
+				return cycles, res, append([]float32(nil), p.Partials()...), m.Fingerprint(), fmt.Sprint(m.Fab.CaptureState().Hot)
 			}
-			seqCyc, seqRes, seqPart, seqFP := run(wse.EngineSequential)
-			ffCyc, ffRes, ffPart, ffFP := run(wse.EngineFastForward)
+			seqCyc, seqRes, seqPart, seqFP, seqHot := run(wse.EngineSequential)
+			ffCyc, ffRes, ffPart, ffFP, ffHot := run(wse.EngineFastForward)
+			if seqHot != ffHot {
+				t.Errorf("hot sets diverge: seq %s, ff %s", seqHot, ffHot)
+			}
 			if seqCyc != ffCyc {
 				t.Errorf("cycles diverge: seq %d, ff %d", seqCyc, ffCyc)
 			}

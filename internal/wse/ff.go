@@ -1,6 +1,10 @@
 package wse
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/fabric"
+)
 
 // This file is the task half of the hybrid fast-forward engine
 // (EngineFastForward): when a phase consists purely of per-core
@@ -220,6 +224,18 @@ func (c *Core) RxQuiet() bool {
 		}
 	}
 	return true
+}
+
+// SubscribesAny reports whether any core subscribes to a color in
+// lo..hi (inclusive). A fabric-level phase replay (the AllReduce's)
+// skips the rx-delivery wakes a subscribed core would take, so it may
+// only replay colors no core listens on.
+func (m *Machine) SubscribesAny(lo, hi fabric.Color) bool {
+	var mask uint32
+	for c := lo; c <= hi; c++ {
+		mask |= 1 << c
+	}
+	return m.subscribed&mask != 0
 }
 
 // FastForwardComplete marks t as a finished cycle simulation would

@@ -140,6 +140,10 @@ type Machine struct {
 	// batch is the per-shard class-grouping scratch of the batched
 	// engine, allocated once; see batch.go.
 	batch []batchState
+
+	// subscribed is the union of every core's subscription mask
+	// (subscriptions are only ever added), for SubscribesAny.
+	subscribed uint32
 }
 
 // New builds a machine.
